@@ -25,8 +25,7 @@ from .errors import (
     InconsistentRankTestsError,
     WrongDimensionError,
 )
-from .formation import BearingConstraintSet, Formation
-from .graph import expanded_incidence, out_edges
+from .formation import BearingConstraintSet, Formation, edge_block_matrix
 from .linalg import (
     SUBSPACE_TOL,
     containment_residual,
@@ -187,9 +186,8 @@ def check_bearing_equivalence(
     other = Formation(f.graph, f.d, q)  # raises DegenerateEdgeError on bad q
     g_ref = f.bearings.reshape(f.m, f.d)
     g_new = other.bearings.reshape(f.m, f.d)
-    residuals = np.array(
-        [np.linalg.norm(g_new[k] - (g_ref[k] @ g_new[k]) * g_ref[k]) for k in range(f.m)]
-    )
+    cosines = np.einsum("kd,kd->k", g_ref, g_new)
+    residuals = np.linalg.norm(g_new - cosines[:, None] * g_ref, axis=1)
     max_edge_residual = float(residuals.max()) if f.m else 0.0
     rigidity_residual = float(
         np.linalg.norm(f.bearing_rigidity_matrix @ other.p) / np.linalg.norm(other.p)
@@ -201,8 +199,30 @@ def check_bearing_equivalence(
             f"edgewise criterion ({max_edge_residual:.3e}) and rigidity-matrix "
             f"criterion ({rigidity_residual:.3e}) disagree at tol {tol:.1e}"
         )
-    signs = np.sign(np.einsum("kd,kd->k", g_ref, g_new))
-    return EquivalenceCheck(edgewise, max_edge_residual, rigidity_residual, signs)
+    return EquivalenceCheck(edgewise, max_edge_residual, rigidity_residual, np.sign(cosines))
+
+
+def outgoing_pair_separation(f: Formation) -> tuple[np.ndarray, np.ndarray]:
+    """Per-agent out-degree, and how far apart two outgoing bearings are.
+
+    Returns (degree, separation), both of length n and indexed by 0-based
+    agent.  For an agent with exactly two outgoing edges, whose bearings
+    are a and b in edge order, separation is |b - (a.b) a|, the norm of b
+    projected off a; it is zero when the two are collinear.  Other agents
+    get NaN.
+    """
+    tails = f.graph.tails
+    degree = np.bincount(tails, minlength=f.n)
+    separation = np.full(f.n, np.nan)
+    pairs = np.flatnonzero(degree == 2)
+    if pairs.size:
+        g = f.bearings.reshape(f.m, f.d)
+        by_tail = np.argsort(tails, kind="stable")
+        first = (np.cumsum(degree) - degree)[pairs]
+        a, b = g[by_tail[first]], g[by_tail[first + 1]]
+        cosines = np.einsum("kd,kd->k", a, b)
+        separation[pairs] = np.linalg.norm(b - cosines[:, None] * a, axis=1)
+    return degree, separation
 
 
 def sufficient_persistence_2d(f: Formation) -> PersistenceCondition:
@@ -214,16 +234,9 @@ def sufficient_persistence_2d(f: Formation) -> PersistenceCondition:
     """
     if f.d != 2:
         raise WrongDimensionError(f"condition is specific to d=2, got d={f.d}")
-    g = f.bearings.reshape(f.m, f.d)
-    violating = []
-    for i in range(1, f.n + 1):
-        ks = [k for k, _ in out_edges(f.graph, i)]
-        if len(ks) > 2:
-            violating.append(i)
-        elif len(ks) == 2:
-            a, b = g[ks[0]], g[ks[1]]
-            if np.linalg.norm(b - (a @ b) * a) <= COLLINEARITY_TOL:
-                violating.append(i)
+    degree, separation = outgoing_pair_separation(f)
+    collinear = separation <= COLLINEARITY_TOL  # False where separation is NaN
+    violating = (np.flatnonzero((degree > 2) | collinear) + 1).tolist()
     return PersistenceCondition(not violating, violating)
 
 
@@ -345,12 +358,9 @@ def realize_constraints(
     the constraints (smallest singular value over unit shapes orthogonal to
     the translations).
     """
-    n, d, m = c.graph.n, c.d, c.graph.m
-    Hbar = expanded_incidence(c.graph, d)
-    A = np.zeros((d * m, d * n))
-    for k in range(m):
-        rows = slice(k * d, (k + 1) * d)
-        A[rows] = c.edge_projectors[k] @ Hbar[rows]
+    n, d = c.graph.n, c.d
+    tails, heads = c.graph.tails, c.graph.heads
+    A = edge_block_matrix(c.graph, c.edge_projectors)
 
     translations = span_basis(np.kron(np.ones(n), np.eye(d)).T)
     complement = nullspace_basis(translations.T)
@@ -365,13 +375,14 @@ def realize_constraints(
     rng = np.random.default_rng(seed)
     for _ in range(16):
         candidate = directions @ rng.standard_normal(directions.shape[1])
-        lengths = np.linalg.norm((Hbar @ candidate).reshape(m, d), axis=1)
+        pts = candidate.reshape(n, d)
+        lengths = np.linalg.norm(pts[heads] - pts[tails], axis=1)
         scale = np.linalg.norm(candidate)
         if scale > 0 and lengths.min() > 1e-6 * scale:
             positions = candidate * (2.0 / scale) * np.sqrt(n)
             parallel = c.satisfaction_residuals(positions)
-            rel = float((parallel / np.linalg.norm(
-                (Hbar @ positions).reshape(m, d), axis=1)).max())
+            pts = positions.reshape(n, d)
+            rel = float((parallel / np.linalg.norm(pts[heads] - pts[tails], axis=1)).max())
             if rel < tol:
                 return Realization(positions, True, min_residual)
     # Some edge collapses on the entire admissible null space: no

@@ -41,10 +41,6 @@ def _warn(message: str) -> None:
     print(f"warning: {message}", file=sys.stderr)
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.17g}"
-
-
 def _target_formation(s: Scenario) -> tuple[Formation, str]:
     """Formation to classify: the node positions, or a realization of the
     explicit constraint bearings when the scenario supplies those."""
@@ -199,11 +195,15 @@ def cmd_simulate(args) -> int:
 
 
 def _write_matrix_txt(path: Path, M: np.ndarray) -> None:
-    """Plain-text matrix: a `rows cols` header line, then one row per line."""
+    """Plain-text matrix: a `rows cols` header line, then one row per line.
+
+    Values carry 17 significant digits, so they round-trip exactly; each
+    row is formatted with one `%` operation on its Python floats.
+    """
+    line = " ".join(["%.17g"] * M.shape[1]) + "\n"
     with open(path, "w") as fh:
         fh.write(f"{M.shape[0]} {M.shape[1]}\n")
-        for row in np.atleast_2d(M):
-            fh.write(" ".join(_fmt(v) for v in row) + "\n")
+        fh.writelines(line % tuple(row) for row in np.atleast_2d(M).tolist())
 
 
 def cmd_export_matrices(args) -> int:
@@ -245,6 +245,7 @@ def cmd_conjecture(args) -> int:
         graph_model=args.graph_model,
         seed=args.seed,
         box=tuple(args.box),
+        tol_rel=args.tol_rank,
     )
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -21,10 +21,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import classify, laplacian_spectrum
+from .analysis import classify, laplacian_spectrum, outgoing_pair_separation
 from .errors import ConfigError
 from .formation import BearingConstraintSet, Formation
-from .graph import DirectedGraph, is_weakly_connected, out_edges
+from .graph import DirectedGraph, is_weakly_connected
+from .linalg import check_rank_tolerance, rank_tolerance
 from .scenario import Scenario, scenario_to_dict
 
 GRAPH_MODELS = ("erdos-renyi-directed", "erdos-renyi-undirected", "random-out-degree-capped")
@@ -49,6 +50,11 @@ class ConjectureBatchConfig:
     graph_model: str = "erdos-renyi-directed"
     seed: int = 42
     box: tuple[float, float] = (-2.0, 2.0)
+    #: Relative rank tolerance of every trial's classification.  None takes
+    #: the process's current tolerance when the config is made; the value is
+    #: then carried to worker processes with the config, which they would
+    #: otherwise not see.
+    tol_rel: float | None = None
 
     def __post_init__(self):
         if self.trials < 1:
@@ -63,6 +69,11 @@ class ConjectureBatchConfig:
             )
         if not (self.box[0] < self.box[1]):
             raise ConfigError(f"invalid position box {self.box}")
+        try:
+            self.tol_rel = check_rank_tolerance(
+                rank_tolerance() if self.tol_rel is None else self.tol_rel)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
 
 @dataclass
@@ -98,6 +109,7 @@ class BatchReport:
                 "graph_model": self.config.graph_model,
                 "seed": self.config.seed,
                 "box": list(self.config.box),
+                "tol_rel": self.config.tol_rel,
             },
             "aggregate_min_real_part": self.min_real_part,
             "violations": self.violations,
@@ -180,8 +192,8 @@ def random_positions(
     """Uniform positions in the box, resampled until no edge is shorter than min_edge."""
     while True:
         pts = rng.uniform(box[0], box[1], size=(graph.n, d))
-        lengths = [np.linalg.norm(pts[j - 1] - pts[i - 1]) for i, j in graph.edges]
-        if min(lengths) > min_edge:
+        lengths = np.linalg.norm(pts[graph.heads] - pts[graph.tails], axis=1)
+        if lengths.min() > min_edge:
             return pts
 
 
@@ -221,16 +233,8 @@ def random_capped_formation(
     g = random_capped_graph(rng, n)
     while True:
         f = Formation.from_points(g, random_positions(rng, g, d, box))
-        bearings = f.bearings.reshape(f.m, d)
-        ok = True
-        for i in range(1, n + 1):
-            ks = [k for k, _ in out_edges(g, i)]
-            if len(ks) == 2:
-                a, b = bearings[ks[0]], bearings[ks[1]]
-                if np.linalg.norm(b - (a @ b) * a) <= margin:
-                    ok = False
-                    break
-        if ok:
+        _, separation = outgoing_pair_separation(f)
+        if not np.any(separation <= margin):  # NaN (out-degree not 2) never compares
             return f
 
 
@@ -245,7 +249,7 @@ def run_trial(cfg: ConjectureBatchConfig, index: int) -> tuple[TrialRecord, dict
     d = int(rng.integers(cfg.d_range[0], cfg.d_range[1] + 1))
     f = random_formation(rng, n, d, cfg.graph_model, cfg.box)
     spectrum = laplacian_spectrum(BearingConstraintSet.from_formation(f))
-    report = classify(f)
+    report = classify(f, tol_rel=cfg.tol_rel)
     record = TrialRecord(
         index=index,
         seed=[cfg.seed, index],

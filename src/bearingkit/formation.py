@@ -6,6 +6,12 @@ matrix (the Jacobian of the stacked bearings with respect to the stacked
 positions).  A bearing constraint set carries per-edge desired unit bearings
 and yields the bearing Laplacian, the matrix-weighted graph Laplacian that
 drives the closed-loop dynamics.
+
+All per-edge work is array work over the graph's 0-based `tails`/`heads`
+index arrays: edge vectors are `points[heads] - points[tails]`, and the
+rigidity matrix and Laplacian are scattered block by block from one stack
+of edge projectors, never through a dense Kronecker-expanded incidence
+matrix or a scan of the edge list per agent.
 """
 
 from __future__ import annotations
@@ -16,8 +22,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegenerateEdgeError, DimensionMismatchError
-from .graph import DirectedGraph, expanded_incidence, out_edges
-from .linalg import projector, span_basis
+from .graph import DirectedGraph
+from .linalg import projectors, span_basis
 
 #: Edges shorter than this have numerically meaningless bearings.
 DEGENERATE_EDGE_TOL = 1e-9
@@ -35,6 +41,22 @@ def _check_stacked(p: np.ndarray, n: int, d: int) -> np.ndarray:
     if not np.all(np.isfinite(p)):
         raise ValueError("positions must be finite")
     return p
+
+
+def edge_block_matrix(graph: DirectedGraph, blocks: np.ndarray) -> np.ndarray:
+    """(d*m, d*n) matrix whose block row k is blocks[k] applied to edge k.
+
+    Block (k, head of k) is blocks[k] and block (k, tail of k) is
+    -blocks[k]; every other block is zero.  This is the block-diagonal
+    stack of `blocks` times the expanded incidence matrix, built by
+    scattering into the two nonzero blocks of each row.
+    """
+    m, d, _ = blocks.shape
+    M = np.zeros((m, d, graph.n, d))
+    k = np.arange(m)
+    M[k, :, graph.heads, :] = blocks
+    M[k, :, graph.tails, :] -= blocks
+    return M.reshape(m * d, graph.n * d)
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,11 +78,11 @@ class Formation:
             raise ValueError(f"dimension must be >= 2, got {self.d}")
         p = _check_stacked(self.p, self.graph.n, self.d)
         object.__setattr__(self, "p", p)
-        points = self.points
-        for k, (i, j) in enumerate(self.graph.edges):
-            length = float(np.linalg.norm(points[j - 1] - points[i - 1]))
-            if length <= DEGENERATE_EDGE_TOL:
-                raise DegenerateEdgeError(k, i, j, length)
+        short = np.flatnonzero(self.edge_lengths <= DEGENERATE_EDGE_TOL)
+        if short.size:
+            k = int(short[0])
+            i, j = self.graph.edges[k]
+            raise DegenerateEdgeError(k, i, j, float(self.edge_lengths[k]))
 
     @classmethod
     def from_points(cls, graph: DirectedGraph, points: np.ndarray) -> "Formation":
@@ -88,7 +110,8 @@ class Formation:
     @cached_property
     def edge_vectors(self) -> np.ndarray:
         """Stacked edge vectors (head minus tail), length d*m."""
-        return expanded_incidence(self.graph, self.d) @ self.p
+        points = self.points
+        return (points[self.graph.heads] - points[self.graph.tails]).reshape(-1)
 
     @cached_property
     def edge_lengths(self) -> np.ndarray:
@@ -106,15 +129,13 @@ class Formation:
 
         Closed form: block-diagonal stack of P_g_k / |e_k| applied to the
         expanded incidence matrix, where P is the orthogonal projector that
-        annihilates the bearing of edge k.
+        annihilates the bearing of edge k.  Built by `edge_block_matrix`,
+        which writes P_g_k / |e_k| into block (k, head) and its negative
+        into block (k, tail).
         """
-        Hbar = expanded_incidence(self.graph, self.d)
         g = self.bearings.reshape(self.m, self.d)
-        R = np.zeros((self.d * self.m, self.d * self.graph.n))
-        for k in range(self.m):
-            rows = slice(k * self.d, (k + 1) * self.d)
-            R[rows] = (projector(g[k]) / self.edge_lengths[k]) @ Hbar[rows]
-        return R
+        blocks = projectors(g) / self.edge_lengths[:, None, None]
+        return edge_block_matrix(self.graph, blocks)
 
     @cached_property
     def trivial_motion_basis(self) -> np.ndarray:
@@ -185,10 +206,7 @@ class BearingConstraintSet:
     @cached_property
     def edge_projectors(self) -> np.ndarray:
         """(m, d, d) stack of orthogonal projectors, one per constraint bearing."""
-        out = np.empty((self.graph.m, self.d, self.d))
-        for k in range(self.graph.m):
-            out[k] = projector(self.bearings[k])
-        return out
+        return projectors(self.bearings)
 
     @cached_property
     def bearing_laplacian(self) -> np.ndarray:
@@ -198,16 +216,17 @@ class BearingConstraintSet:
         diagonal block i sums the projectors of agent i's outgoing edges.
         An agent with no outgoing edges contributes an all-zero block row,
         which is what makes the matrix asymmetric for directed graphs.
+        Built from the tails/heads arrays: the off-diagonal blocks are
+        written directly (no directed edge repeats), and the diagonal
+        blocks are summed with `np.add.at` in edge order.
         """
         n, d = self.graph.n, self.d
-        L = np.zeros((d * n, d * n))
-        for i in range(1, n + 1):
-            ri = slice((i - 1) * d, i * d)
-            for k, j in out_edges(self.graph, i):
-                P = self.edge_projectors[k]
-                L[ri, (j - 1) * d:j * d] -= P
-                L[ri, ri] += P
-        return L
+        tails, heads = self.graph.tails, self.graph.heads
+        P = self.edge_projectors
+        L = np.zeros((n, d, n, d))
+        L[tails, :, heads, :] -= P
+        np.add.at(L, (tails, slice(None), tails, slice(None)), P)
+        return L.reshape(d * n, d * n)
 
     def satisfaction_residuals(self, p: np.ndarray) -> np.ndarray:
         """Per-edge norms of the constraint projectors applied to p_i - p_j.
@@ -216,9 +235,24 @@ class BearingConstraintSet:
         parallel to its desired bearing.  Well defined for any p, including
         configurations with coincident agents.
         """
+        return self._residuals(p)[0]
+
+    def bearing_error(self, p: np.ndarray) -> float:
+        """Sum of the satisfaction residuals, or NaN if p has a degenerate edge.
+
+        The trajectory metric of `simulate`: bearings are undefined on an
+        edge shorter than DEGENERATE_EDGE_TOL, so the error is NaN there
+        (the dynamics themselves stay well defined).
+        """
+        residuals, lengths = self._residuals(p)
+        if lengths.size and lengths.min() < DEGENERATE_EDGE_TOL:
+            return float("nan")
+        return float(residuals.sum())
+
+    def _residuals(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per-edge (|P_k (p_i - p_j)|, |p_i - p_j|) for edges k = (i, j)."""
         p = _check_stacked(p, self.graph.n, self.d)
         pts = p.reshape(self.graph.n, self.d)
-        r = np.empty(self.graph.m)
-        for k, (i, j) in enumerate(self.graph.edges):
-            r[k] = np.linalg.norm(self.edge_projectors[k] @ (pts[i - 1] - pts[j - 1]))
-        return r
+        rel = pts[self.graph.tails] - pts[self.graph.heads]
+        projected = np.einsum("kab,kb->ka", self.edge_projectors, rel)
+        return np.linalg.norm(projected, axis=1), np.linalg.norm(rel, axis=1)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -42,11 +43,27 @@ class DirectedGraph:
     def m(self) -> int:
         return len(self.edges)
 
+    @cached_property
+    def tails(self) -> np.ndarray:
+        """0-based tail vertex of each edge, in edge order (read-only)."""
+        return _vertex_indices(i for i, _ in self.edges)
+
+    @cached_property
+    def heads(self) -> np.ndarray:
+        """0-based head vertex of each edge, in edge order (read-only)."""
+        return _vertex_indices(j for _, j in self.edges)
+
     @property
     def is_undirected(self) -> bool:
         """True when every edge appears together with its reverse."""
         edge_set = set(self.edges)
         return all((j, i) in edge_set for i, j in self.edges)
+
+
+def _vertex_indices(vertices) -> np.ndarray:
+    out = np.fromiter(vertices, dtype=np.intp) - 1
+    out.flags.writeable = False
+    return out
 
 
 def incidence_matrix(g: DirectedGraph) -> np.ndarray:
@@ -92,9 +109,3 @@ def out_neighbors(g: DirectedGraph, i: int) -> list[int]:
         raise InvalidVertexError(f"vertex {i} outside 1..{g.n}")
     return [j for (a, j) in g.edges if a == i]
 
-
-def out_edges(g: DirectedGraph, i: int) -> list[tuple[int, int]]:
-    """(edge index, head) pairs for the edges leaving vertex i, in edge order."""
-    if not (1 <= i <= g.n):
-        raise InvalidVertexError(f"vertex {i} outside 1..{g.n}")
-    return [(k, j) for k, (a, j) in enumerate(g.edges) if a == i]

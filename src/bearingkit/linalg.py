@@ -4,6 +4,15 @@ Everything here is dimension-generic and SVD-based: orthogonal projectors,
 numeric rank at a relative tolerance, orthonormal null-space bases, subspace
 comparison by projection residuals, and the (generally oblique) spectral
 projector onto a zero eigenspace.
+
+Rank and null space come from one private factorization that returns the
+singular values and the full right basis and never forms the left factor.
+A tall M (rows > cols) is first reduced to the cols-by-cols triangle of its
+QR factorization, which has the same singular values and right singular
+vectors, and only that triangle is decomposed (Chan's R-SVD, ACM TOMS 8(1),
+1982).  For the d*m-by-d*n rigidity matrix this costs memory of order
+d*n^2 instead of the d*m-by-d*m left factor, whose size grows with the
+square of the edge count.
 """
 
 from __future__ import annotations
@@ -34,13 +43,18 @@ DEFECTIVE_COND_LIMIT = 1e8
 _rank_tol = DEFAULT_RANK_TOL
 
 
-def set_rank_tolerance(tol: float) -> None:
-    """Set the global relative rank tolerance (audit knob for rank decisions)."""
-    global _rank_tol
+def check_rank_tolerance(tol: float) -> float:
+    """`tol` as a float, or ValueError unless it lies in (0, 1)."""
     tol = float(tol)
     if not (0.0 < tol < 1.0):
         raise ValueError(f"rank tolerance must be in (0, 1), got {tol}")
-    _rank_tol = tol
+    return tol
+
+
+def set_rank_tolerance(tol: float) -> None:
+    """Set the global relative rank tolerance (audit knob for rank decisions)."""
+    global _rank_tol
+    _rank_tol = check_rank_tolerance(tol)
 
 
 def rank_tolerance() -> float:
@@ -58,20 +72,35 @@ def as_matrix(M: np.ndarray) -> np.ndarray:
     return M
 
 
+def projectors(X: np.ndarray) -> np.ndarray:
+    """Stack of orthogonal projectors, one per row of the (k, d) array X.
+
+    Entry i is I - x_i x_i^T / |x_i|^2 for row x_i, the symmetric
+    idempotent matrix that annihilates x_i and fixes everything orthogonal
+    to it.  Its eigenvalues are 0 (once) and 1 (d - 1 times).  Built for
+    the whole stack with array operations; shape (k, d, d).
+    """
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2:
+        raise ValueError(f"expected a (k, d) array of vectors, got shape {X.shape}")
+    if not np.all(np.isfinite(X)):
+        raise ValueError("vector entries must be finite")
+    norms = np.linalg.norm(X, axis=1)
+    short = np.flatnonzero(norms <= ZERO_VECTOR_TOL)
+    if short.size:
+        raise ZeroVectorError(
+            f"cannot project along a vector of norm {norms[short[0]]:.3e}"
+        )
+    outer = X[:, :, None] * X[:, None, :]
+    return np.eye(X.shape[1]) - outer / (norms * norms)[:, None, None]
+
+
 def projector(x: np.ndarray) -> np.ndarray:
     """Orthogonal projector onto the complement of a nonzero vector.
 
-    Returns I - x x^T / |x|^2, the symmetric idempotent matrix that
-    annihilates x and fixes everything orthogonal to it.  Its eigenvalues
-    are 0 (once) and 1 (d - 1 times).
+    Returns I - x x^T / |x|^2; the single-vector case of `projectors`.
     """
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("vector entries must be finite")
-    norm = float(np.linalg.norm(x))
-    if norm <= ZERO_VECTOR_TOL:
-        raise ZeroVectorError(f"cannot project along a vector of norm {norm:.3e}")
-    return np.eye(x.size) - np.outer(x, x) / (norm * norm)
+    return projectors(np.asarray(x, dtype=float).reshape(1, -1))[0]
 
 
 def _svd_rank(s: np.ndarray, tol_rel: float) -> int:
@@ -80,28 +109,46 @@ def _svd_rank(s: np.ndarray, tol_rel: float) -> int:
     return int(np.sum(s > tol_rel * s[0]))
 
 
+def _right_svd(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Singular values of M and its full right basis Vh (cols x cols).
+
+    M's left factor is never formed: a tall M is replaced by the triangle
+    of its QR factorization, which has the same singular values and right
+    singular vectors, so only a cols-by-cols problem is decomposed.  M must
+    have at least one row and one column.
+    """
+    if M.shape[0] > M.shape[1]:
+        M = np.linalg.qr(M, mode="r")
+    _, s, vh = np.linalg.svd(M, full_matrices=True)
+    return s, vh
+
+
 def numeric_rank(M: np.ndarray, tol_rel: float | None = None) -> int:
     """Number of singular values above tol_rel times the largest one."""
     M = as_matrix(M)
     tol_rel = _rank_tol if tol_rel is None else float(tol_rel)
     if min(M.shape) == 0:
         return 0
-    s = np.linalg.svd(M, compute_uv=False)
+    s, _ = _right_svd(M)
     return _svd_rank(s, tol_rel)
 
 
 def nullspace_basis(M: np.ndarray, tol_rel: float | None = None) -> np.ndarray:
     """Orthonormal basis of the right null space, columns as basis vectors.
 
-    Shape is (cols, nullity); the nullity is cols - numeric_rank(M) at the
-    same tolerance, so rank and nullity are always consistent.
+    Shape is (cols, nullity).  Rank and basis come from the same
+    factorization as `numeric_rank`, so the nullity is cols - numeric_rank(M)
+    at the same tolerance by construction.  A tall M is reduced by QR first
+    and M's left factor is never formed, so the working memory is of order
+    cols^2 rather than rows^2 (for the rigidity matrix, d*n^2 rather than
+    d*m^2).
     """
     M = as_matrix(M)
     tol_rel = _rank_tol if tol_rel is None else float(tol_rel)
     n = M.shape[1]
     if M.shape[0] == 0 or n == 0:
         return np.eye(n)
-    _, s, vh = np.linalg.svd(M, full_matrices=True)
+    s, vh = _right_svd(M)
     rank = _svd_rank(s, tol_rel)
     return vh[rank:].T.copy()
 

@@ -18,7 +18,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import ConfigError, NotConvergedError
-from .formation import DEGENERATE_EDGE_TOL, BearingConstraintSet, Formation
+from .formation import BearingConstraintSet, Formation
 from .analysis import EQUIVALENCE_TOL, check_bearing_equivalence
 
 INTEGRATORS = ("euler", "rk4", "expm-oracle")
@@ -183,17 +183,6 @@ def _rk4_step(L: np.ndarray, p: np.ndarray, dt: float) -> np.ndarray:
     return p + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _bearing_error(c: BearingConstraintSet, p: np.ndarray) -> float:
-    pts = p.reshape(c.graph.n, c.d)
-    total = 0.0
-    for k, (i, j) in enumerate(c.graph.edges):
-        rel = pts[i - 1] - pts[j - 1]
-        if np.linalg.norm(rel) < DEGENERATE_EDGE_TOL:
-            return math.nan
-        total += float(np.linalg.norm(c.edge_projectors[k] @ rel))
-    return total
-
-
 def simulate(
     c: BearingConstraintSet,
     p0: np.ndarray,
@@ -239,7 +228,7 @@ def simulate(
     times_arr = np.array(times)
     pos = np.array(states)
     control = np.linalg.norm(pos @ L.T, axis=1)
-    berr = np.array([_bearing_error(c, row) for row in pos])
+    berr = np.array([c.bearing_error(row) for row in pos])
 
     converged_at = None
     below = control < cfg.convergence_threshold

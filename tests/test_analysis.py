@@ -117,6 +117,27 @@ class TestSufficientCondition2d:
         assert not result.condition_holds
         assert 3 in result.violating_agents  # two exactly opposite bearings
 
+    def test_matches_per_agent_scan(self, formations):
+        def reference(f):
+            g = f.bearings.reshape(f.m, f.d)
+            violating = []
+            for i in range(1, f.n + 1):
+                ks = [k for k, (a, _) in enumerate(f.graph.edges) if a == i]
+                if len(ks) > 2:
+                    violating.append(i)
+                elif len(ks) == 2:
+                    a, b = g[ks[0]], g[ks[1]]
+                    if np.linalg.norm(b - (a @ b) * a) <= 1e-9:
+                        violating.append(i)
+            return violating
+
+        rng = np.random.default_rng(109)
+        cases = [f for f in formations.values() if f.d == 2]
+        cases += [random_formation(rng, int(rng.integers(3, 9)), 2) for _ in range(20)]
+        cases += [random_capped_formation(rng, int(rng.integers(3, 9))) for _ in range(10)]
+        for f in cases:
+            assert sufficient_persistence_2d(f).violating_agents == reference(f)
+
     def test_wrong_dimension(self):
         rng = np.random.default_rng(107)
         f = random_formation(rng, 4, 3)

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from bearingkit.cli import main
+from bearingkit.cli import _write_matrix_txt, main
 
 
 def run(capsys, *argv):
@@ -197,6 +197,20 @@ class TestExportMatrices:
             [0, 2, -1, 1, -2, 0, 0, 0],
         ], dtype=float).T
         assert subspaces_equal(emitted, span_basis(reference), tol=1e-8)
+
+
+class TestMatrixText:
+    def test_bytes_match_per_value_formatting(self, tmp_path):
+        rng = np.random.default_rng(191)
+        values = rng.standard_normal((5, 7)) * 10.0 ** rng.integers(-300, 300, (5, 7))
+        values[0, :3] = [-0.0, 5e-324, 1.0 / 3.0]
+        null_basis = np.zeros((6, 0))  # a full-rank matrix's null basis
+        for name, M in (("values", values), ("empty", null_basis)):
+            path = tmp_path / f"{name}.txt"
+            _write_matrix_txt(path, M)
+            reference = f"{M.shape[0]} {M.shape[1]}\n" + "".join(
+                " ".join(f"{v:.17g}" for v in row) + "\n" for row in M)
+            assert path.read_bytes() == reference.encode()
 
 
 class TestConjectureCommand:

@@ -1,7 +1,12 @@
+import functools
 import json
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
+
+import bearingkit.conjecture
 
 from bearingkit import (
     BearingConstraintSet,
@@ -21,6 +26,7 @@ from bearingkit.conjecture import (
     run_trial,
 )
 from bearingkit.graph import out_neighbors
+from bearingkit.linalg import set_rank_tolerance
 
 
 class TestGenerators:
@@ -79,6 +85,14 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ConjectureBatchConfig(trials=1, box=(1.0, -1.0))
 
+    def test_rank_tolerance_validated_and_defaulted(self):
+        for bad in (0.0, 1.0, -1e-3):
+            with pytest.raises(ConfigError):
+                ConjectureBatchConfig(trials=1, tol_rel=bad)
+        assert ConjectureBatchConfig(trials=1, tol_rel=1e-6).tol_rel == 1e-6
+        set_rank_tolerance(1e-4)
+        assert ConjectureBatchConfig(trials=1).tol_rel == 1e-4
+
 
 class TestBatch:
     def test_trials_reproducible_and_order_independent(self):
@@ -90,6 +104,22 @@ class TestBatch:
         ]
         assert serial.min_real_part == parallel.min_real_part
         assert [r.index for r in serial.records] == list(range(12))
+
+    def test_rank_tolerance_reaches_spawned_workers(self, monkeypatch):
+        # A spawned worker starts from a fresh import and sees no tolerance
+        # set in this process; the verdicts must still match the serial run.
+        spawn = functools.partial(
+            ProcessPoolExecutor, mp_context=multiprocessing.get_context("spawn"))
+        monkeypatch.setattr(bearingkit.conjecture, "ProcessPoolExecutor", spawn)
+
+        def verdicts(report):
+            return [(r.rigid, r.persistent) for r in report.records]
+
+        cfg = ConjectureBatchConfig(trials=200, seed=1, tol_rel=1e-3)
+        serial = verdicts(run_batch(cfg))
+        assert verdicts(run_batch(cfg, jobs=2)) == serial
+        # the tolerance decides some of these verdicts
+        assert verdicts(run_batch(ConjectureBatchConfig(trials=200, seed=1))) != serial
 
     def test_undirected_model_min_real_part(self):
         cfg = ConjectureBatchConfig(

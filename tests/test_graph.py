@@ -37,6 +37,13 @@ class TestDirectedGraph:
         with pytest.raises(ValueError):
             DirectedGraph(1, ())
 
+    def test_tails_and_heads_zero_based_in_edge_order(self):
+        g = DirectedGraph(4, ((2, 1), (2, 3), (4, 2)))
+        assert g.tails.tolist() == [1, 1, 3]
+        assert g.heads.tolist() == [0, 2, 1]
+        with pytest.raises(ValueError):
+            g.tails[0] = 0  # cached and shared, so read-only
+
     def test_is_undirected_false_for_partial(self):
         assert not DirectedGraph(3, ((1, 2), (2, 1), (2, 3))).is_undirected
 

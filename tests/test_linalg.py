@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -66,6 +68,18 @@ class TestProjector:
             projector([np.nan, 1.0])
 
 
+def _shapes(rng):
+    """30 small (rows, cols) draws, then 10 tall ones with up to 300 rows and
+    at most 12 columns, then 10 wide ones, their transposes."""
+    for _ in range(30):
+        rows, cols = rng.integers(2, 9, size=2)
+        yield int(rows), int(cols)
+    for wide in (False, True):
+        for _ in range(10):
+            shape = int(rng.integers(13, 301)), int(rng.integers(2, 13))
+            yield shape[::-1] if wide else shape
+
+
 class TestNumericRank:
     def test_identity(self):
         assert numeric_rank(np.eye(3)) == 3
@@ -106,8 +120,7 @@ class TestNullspaceBasis:
 
     def test_residual_and_orthonormality(self):
         rng = np.random.default_rng(17)
-        for _ in range(30):
-            rows, cols = rng.integers(2, 9, size=2)
+        for rows, cols in _shapes(rng):
             rank = int(rng.integers(1, min(rows, cols) + 1))
             M = rng.standard_normal((rows, rank)) @ rng.standard_normal((rank, cols))
             N = nullspace_basis(M)
@@ -118,12 +131,25 @@ class TestNullspaceBasis:
 
     def test_rank_nullity_consistency(self):
         rng = np.random.default_rng(19)
-        for _ in range(30):
-            rows, cols = rng.integers(2, 9, size=2)
+        for rows, cols in _shapes(rng):
             rank = int(rng.integers(0, min(rows, cols) + 1))
             M = (rng.standard_normal((rows, rank)) @ rng.standard_normal((rank, cols))
                  if rank else np.zeros((rows, cols)))
             assert numeric_rank(M) + nullspace_basis(M).shape[1] == cols
+
+    def test_tall_matrix_never_forms_left_factor(self):
+        # The 6000 x 6000 left singular factor alone would take 288 MB.
+        rng = np.random.default_rng(43)
+        M = rng.standard_normal((6000, 3)) @ rng.standard_normal((3, 6))
+        tracemalloc.start()
+        try:
+            N = nullspace_basis(M)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert N.shape == (6, 3)
+        assert np.abs(M @ N).max() < 1e-9 * np.abs(M).max()
+        assert peak < 20e6
 
 
 class TestSubspaces:

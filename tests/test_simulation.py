@@ -15,7 +15,6 @@ from bearingkit import (
     step_agentwise,
 )
 from bearingkit.conjecture import random_formation
-from bearingkit.simulation import _bearing_error
 
 
 class TestConfig:
@@ -128,12 +127,12 @@ class TestBearingErrorMetric:
     def test_nan_on_degenerate_current_edge(self):
         g = DirectedGraph(2, ((1, 2),))
         c = BearingConstraintSet(g, 2, np.array([[1.0, 0.0]]))
-        assert np.isnan(_bearing_error(c, np.zeros(4)))
+        assert np.isnan(c.bearing_error(np.zeros(4)))
 
     def test_zero_on_satisfying_positions(self, formations):
         f = formations["fig2b"]
         c = BearingConstraintSet.from_formation(f)
-        assert _bearing_error(c, 3.0 * f.p + 1.0) < 1e-12
+        assert c.bearing_error(3.0 * f.p + 1.0) < 1e-12
 
 
 class TestExpmOracle:
