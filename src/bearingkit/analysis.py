@@ -4,8 +4,13 @@ A formation is infinitesimally bearing rigid when its only bearing-preserving
 infinitesimal motions are translations and uniform scaling, and bearing
 persistent when the null space of the bearing Laplacian (built from its own
 bearings) matches the null space of the bearing rigidity matrix.  The two
-properties are independent, and together they decide whether the linear
-control law can steer arbitrary initial conditions to the target shape.
+properties are independent, and both are necessary for the linear control
+law to steer arbitrary initial conditions to the target shape.  For an
+undirected graph they are also sufficient, since L is then symmetric
+positive semidefinite.  For a directed graph stability is a separate
+question, answered by `laplacian_spectrum`: a rigid and persistent formation
+can still have an eigenvalue of L with negative real part (trial 13 of the
+seed-42 conjecture batch has n = 4, d = 2, m = 6 and the eigenvalue -0.0168).
 
 Every boolean verdict here is computed twice, through a rank test and
 through a subspace test; disagreement raises instead of silently picking

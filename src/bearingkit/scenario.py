@@ -21,12 +21,14 @@ Format (version 1):
 
 Box bounds may be scalars (applied to every coordinate) or per-node arrays
 of d-vectors.  Node ids must be 1..n in order; edge order is preserved and
-fixes the row ordering of every derived matrix.
+fixes the row ordering of every derived matrix.  Ids, the seed and every
+coordinate must be JSON numbers: `true` is not read as 1, nor "1.5" as 1.5.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -119,17 +121,29 @@ def _require(condition: bool, message: str) -> None:
         raise ValidationError(message)
 
 
+def _is_int(value) -> bool:
+    """A JSON integer; `bool` is a subclass of `int` but not a number here."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _number(value, where: str) -> float:
+    """A finite JSON number as a float; booleans and strings are rejected."""
+    _require(isinstance(value, (int, float)) and not isinstance(value, bool),
+             f"{where}: entries must be numbers")
+    try:
+        out = float(value)
+    except OverflowError:
+        out = math.inf
+    _require(math.isfinite(out), f"{where}: entries must be finite")
+    return out
+
+
 def _vector(value, d: int, where: str) -> tuple[float, ...]:
     _require(
         isinstance(value, (list, tuple)) and len(value) == d,
         f"{where}: expected a list of {d} numbers",
     )
-    try:
-        out = tuple(float(v) for v in value)
-    except (TypeError, ValueError):
-        raise ValidationError(f"{where}: entries must be numbers") from None
-    _require(all(np.isfinite(out)), f"{where}: entries must be finite")
-    return out
+    return tuple(_number(v, where) for v in value)
 
 
 def _parse_initial(data, n: int, d: int) -> InitialSpec:
@@ -144,7 +158,8 @@ def _parse_initial(data, n: int, d: int) -> InitialSpec:
         return InitialSpec(positions=rows)
     _require("random_seed" in data, "initial: needs 'positions' or 'random_seed'")
     seed = data["random_seed"]
-    _require(isinstance(seed, int), "initial.random_seed: expected an integer")
+    _require(_is_int(seed) and seed >= 0,
+             "initial.random_seed: expected a nonnegative integer")
     low = high = None
     if "box" in data:
         box = data["box"]
@@ -155,7 +170,7 @@ def _parse_initial(data, n: int, d: int) -> InitialSpec:
 
         def bound(value, which: str) -> tuple[float, ...]:
             if isinstance(value, (int, float)):
-                return tuple(float(value) for _ in range(n * d))
+                return (_number(value, f"initial.box.{which}"),) * (n * d)
             _require(
                 isinstance(value, list) and len(value) == n,
                 f"initial.box.{which}: expected a scalar or {n} d-vectors",
@@ -169,18 +184,23 @@ def _parse_initial(data, n: int, d: int) -> InitialSpec:
             all(lo < hi for lo, hi in zip(low, high)),
             "initial.box: every low bound must be below its high bound",
         )
+        _require(
+            all(math.isfinite(hi - lo) for lo, hi in zip(low, high)),
+            "initial.box: every width must be a finite number",
+        )
     return InitialSpec(random_seed=seed, box_low=low, box_high=high)
 
 
 def scenario_from_dict(data: dict, source: str = "<dict>") -> Scenario:
     """Validate a parsed JSON object into a Scenario."""
     _require(isinstance(data, dict), f"{source}: top level must be an object")
-    _require(data.get("version") == SCENARIO_VERSION,
+    version = data.get("version")
+    _require(_is_int(version) and version == SCENARIO_VERSION,
              f"{source}: missing or unsupported 'version' (expected {SCENARIO_VERSION})")
     name = data.get("name")
     _require(isinstance(name, str) and name != "", f"{source}: 'name' must be a nonempty string")
     d = data.get("dimension")
-    _require(isinstance(d, int) and d >= 2, f"{source}: 'dimension' must be an integer >= 2")
+    _require(_is_int(d) and d >= 2, f"{source}: 'dimension' must be an integer >= 2")
 
     nodes = data.get("nodes")
     _require(isinstance(nodes, list) and len(nodes) >= 2, f"{source}: need at least 2 nodes")
@@ -191,7 +211,7 @@ def scenario_from_dict(data: dict, source: str = "<dict>") -> Scenario:
             f"nodes[{idx}]: expected an object with 'id' and 'position'",
         )
         _require(
-            node["id"] == idx + 1,
+            _is_int(node["id"]) and node["id"] == idx + 1,
             f"nodes[{idx}]: ids must be contiguous from 1 (expected {idx + 1}, got {node['id']})",
         )
         positions.append(_vector(node["position"], d, f"nodes[{idx}].position"))
@@ -203,7 +223,7 @@ def scenario_from_dict(data: dict, source: str = "<dict>") -> Scenario:
     for idx, pair in enumerate(raw_edges):
         _require(
             isinstance(pair, list) and len(pair) == 2
-            and all(isinstance(v, int) for v in pair),
+            and all(_is_int(v) for v in pair),
             f"edges[{idx}]: expected a pair of integer node ids",
         )
         i, j = pair
@@ -220,7 +240,9 @@ def scenario_from_dict(data: dict, source: str = "<dict>") -> Scenario:
     target = data.get("target")
     _require(isinstance(target, dict), f"{source}: 'target' must be an object")
     bearings = None
-    if target.get("from_positions"):
+    from_positions = target.get("from_positions", False)
+    _require(isinstance(from_positions, bool), "target.from_positions: expected true or false")
+    if from_positions:
         _require("bearings" not in target, "target: give 'from_positions' or 'bearings', not both")
     else:
         raw = target.get("bearings")

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConfigError, NotConvergedError
 from .formation import BearingConstraintSet, Formation
@@ -206,7 +205,11 @@ def simulate(
     n_steps = int(round(cfg.t_max / cfg.dt))
     propagator = None
     if cfg.integrator == "expm-oracle":
-        propagator = scipy.linalg.expm(-L * cfg.dt)
+        # scipy costs over half of every CLI start-up and only the expm
+        # paths need it, so it is imported here rather than at module level.
+        from scipy.linalg import expm
+
+        propagator = expm(-L * cfg.dt)
 
     times, states = [], []
 
@@ -255,8 +258,10 @@ def expm_oracle(c: BearingConstraintSet, p0: np.ndarray, t: float) -> np.ndarray
     """Exact solution exp(-L t) p0 via scaling-and-squaring; validates integrators."""
     if t < 0:
         raise ValueError(f"time must be nonnegative, got {t}")
+    from scipy.linalg import expm  # deferred: see `simulate`
+
     p0 = np.asarray(p0, dtype=float).reshape(-1)
-    return scipy.linalg.expm(-c.bearing_laplacian * float(t)) @ p0
+    return expm(-c.bearing_laplacian * float(t)) @ p0
 
 
 def final_shape_check(

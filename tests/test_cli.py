@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bearingkit
+from bearingkit import expm_oracle, load_fixture
 from bearingkit.cli import _write_matrix_txt, main
 
 
@@ -148,6 +154,39 @@ class TestSimulate:
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "fig1a", "--integrator", "verlet"])
         assert exc.value.code == 1
+
+
+class TestStartUp:
+    #: Runs in a fresh interpreter: the verbs below must not load scipy,
+    #: which costs over half of the CLI's start-up; expm-oracle still works.
+    SCRIPT = """
+import json, sys
+from bearingkit.cli import main
+out = sys.argv[1]
+codes = [main(["analyze", "fig2a", "--out", out]),
+         main(["simulate", "fig2a", "--integrator", "rk4", "--t-max", "1", "--out", out])]
+scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+codes.append(main(["simulate", "fig2a", "--integrator", "expm-oracle", "--t-max", "1",
+                   "--format", "json", "--out", out + "/expm"]))
+print(json.dumps({"codes": codes, "scipy": scipy}))
+"""
+
+    def test_scipy_loaded_only_by_expm_paths(self, tmp_path):
+        src = str(Path(bearingkit.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", self.SCRIPT, str(tmp_path)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert result["codes"] == [0, 0, 0]
+        assert result["scipy"] == []
+
+        traj = json.loads((tmp_path / "expm" / "fig2a_trajectory.json").read_text())
+        assert traj["times"][-1] == pytest.approx(1.0)
+        c = load_fixture("fig2a").constraint_set()
+        expected = expm_oracle(c, np.array(traj["positions"][0]), 1.0)
+        np.testing.assert_allclose(traj["positions"][-1], expected, rtol=1e-12, atol=1e-12)
 
 
 class TestExportMatrices:

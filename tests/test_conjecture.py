@@ -152,6 +152,16 @@ class TestBatch:
         recorded = next(r for r in report.records if r.index == index).min_real_part
         assert replayed == pytest.approx(recorded, abs=1e-12)
 
+    def test_rigid_and_persistent_yet_unstable_trial(self):
+        # Rigidity and persistence are necessary for convergence, not
+        # sufficient: on a directed graph L can still have an eigenvalue
+        # with negative real part (-0.016832 here).
+        record, replay = run_trial(ConjectureBatchConfig(trials=1000, seed=42), 13)
+        assert (record.n, record.d, record.m) == (4, 2, 6)
+        assert record.rigid and record.persistent
+        assert record.min_real_part < -1e-2
+        assert replay is not None
+
     def test_trial_records_complete(self):
         cfg = ConjectureBatchConfig(trials=3, seed=9)
         record, _ = run_trial(cfg, 1)
