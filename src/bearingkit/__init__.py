@@ -32,7 +32,6 @@ from .errors import (
     DegenerateEdgeError,
     DimensionMismatchError,
     InconsistentRankTestsError,
-    InvalidVertexError,
     NotConvergedError,
     NumericalInconsistencyError,
     ParseError,
@@ -47,14 +46,11 @@ from .graph import (
     expanded_incidence,
     incidence_matrix,
     is_weakly_connected,
-    out_neighbors,
 )
 from .linalg import (
     numeric_rank,
     nullspace_basis,
     projector,
-    rank_tolerance,
-    set_rank_tolerance,
     span_basis,
     spectral_projector_zero,
     subspace_contains,
@@ -92,7 +88,6 @@ __all__ = [
     "EquivalenceCheck",
     "Formation",
     "InconsistentRankTestsError",
-    "InvalidVertexError",
     "LimitPrediction",
     "NotConvergedError",
     "NumericalInconsistencyError",
@@ -122,16 +117,13 @@ __all__ = [
     "load_fixture",
     "numeric_rank",
     "nullspace_basis",
-    "out_neighbors",
     "parse_scenario",
     "predict_limit",
     "projector",
-    "rank_tolerance",
     "realize_constraints",
     "resolve_scenario",
     "scenario_from_dict",
     "scenario_to_dict",
-    "set_rank_tolerance",
     "simulate",
     "span_basis",
     "spectral_projector_zero",

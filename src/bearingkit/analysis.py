@@ -32,6 +32,7 @@ from .errors import (
 )
 from .formation import BearingConstraintSet, Formation, edge_block_matrix
 from .linalg import (
+    DEFAULT_RANK_TOL,
     SUBSPACE_TOL,
     containment_residual,
     nullspace_basis,
@@ -130,7 +131,9 @@ class Realization:
     min_residual: float
 
 
-def is_infinitesimally_bearing_rigid(f: Formation, tol_rel: float | None = None) -> bool:
+def is_infinitesimally_bearing_rigid(
+    f: Formation, tol_rel: float = DEFAULT_RANK_TOL
+) -> bool:
     """True when only translations and scaling preserve all bearings.
 
     Decided by the rank of the rigidity matrix reaching d*n - d - 1 and,
@@ -149,7 +152,7 @@ def is_infinitesimally_bearing_rigid(f: Formation, tol_rel: float | None = None)
     return by_rank
 
 
-def is_bearing_persistent(f: Formation, tol_rel: float | None = None) -> bool:
+def is_bearing_persistent(f: Formation, tol_rel: float = DEFAULT_RANK_TOL) -> bool:
     """True when Null of the bearing Laplacian equals Null of the rigidity matrix.
 
     The Laplacian is built from the formation's own bearings.  Because the
@@ -258,7 +261,7 @@ def laplacian_spectrum(c: BearingConstraintSet) -> SpectrumSummary:
 
 
 def predict_limit(
-    c: BearingConstraintSet, p0: np.ndarray, tol_rel: float | None = None
+    c: BearingConstraintSet, p0: np.ndarray, tol_rel: float = DEFAULT_RANK_TOL
 ) -> LimitPrediction:
     """Steady state of pdot = -L p from p0, when the spectrum allows one.
 
@@ -292,7 +295,7 @@ def predict_limit(
 
 
 def classify(
-    f: Formation, tol_rel: float | None = None, mode: str = "positions"
+    f: Formation, tol_rel: float = DEFAULT_RANK_TOL, mode: str = "positions"
 ) -> AnalysisReport:
     """Full rigidity/persistence/spectrum report for one formation.
 
@@ -348,7 +351,10 @@ def classify(
 
 
 def realize_constraints(
-    c: BearingConstraintSet, seed: int = 0, tol: float = SUBSPACE_TOL
+    c: BearingConstraintSet,
+    seed: int = 0,
+    tol: float = SUBSPACE_TOL,
+    tol_rel: float = DEFAULT_RANK_TOL,
 ) -> Realization:
     """Synthesize positions whose edges are parallel to the given constraints.
 
@@ -361,7 +367,9 @@ def realize_constraints(
     When no such direction exists the set is infeasible and `min_residual`
     reports how far the best non-translation shape stays from satisfying
     the constraints (smallest singular value over unit shapes orthogonal to
-    the translations).
+    the translations).  `tol_rel` is the relative rank tolerance that cuts
+    that null space; the translation bases have equal singular values, so
+    no tolerance changes them.
     """
     n, d = c.graph.n, c.d
     tails, heads = c.graph.tails, c.graph.heads
@@ -373,7 +381,7 @@ def realize_constraints(
     svals = np.linalg.svd(restricted, compute_uv=False)
     min_residual = float(svals.min()) if svals.size else 0.0
 
-    directions = complement @ nullspace_basis(restricted)
+    directions = complement @ nullspace_basis(restricted, tol_rel)
     if directions.shape[1] == 0:
         return Realization(None, False, min_residual)
 

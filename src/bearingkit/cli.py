@@ -26,7 +26,7 @@ from .conjecture import ConjectureBatchConfig, run_batch
 from .errors import BearingKitError, NumericalInconsistencyError, ValidationError
 from .formation import Formation
 from .graph import incidence_matrix, is_weakly_connected
-from .linalg import set_rank_tolerance
+from .linalg import DEFAULT_RANK_TOL, check_rank_tolerance
 from .scenario import Scenario, list_fixtures, load_fixture, resolve_scenario
 from .simulation import (
     INTEGRATORS,
@@ -41,12 +41,12 @@ def _warn(message: str) -> None:
     print(f"warning: {message}", file=sys.stderr)
 
 
-def _target_formation(s: Scenario) -> tuple[Formation, str]:
+def _target_formation(s: Scenario, tol_rel: float) -> tuple[Formation, str]:
     """Formation to classify: the node positions, or a realization of the
     explicit constraint bearings when the scenario supplies those."""
     if s.target_bearings is None:
         return s.target_formation(), "positions"
-    realization = realize_constraints(s.constraint_set())
+    realization = realize_constraints(s.constraint_set(), tol_rel=tol_rel)
     if not realization.feasible:
         raise ValidationError(
             f"constraint set of {s.name!r} is infeasible: no nondegenerate "
@@ -126,8 +126,8 @@ def _print_report(name: str, report: AnalysisReport, prop1, digits: int) -> None
 def cmd_analyze(args) -> int:
     s = resolve_scenario(args.scenario)
     _check_connectivity(s)
-    f, mode = _target_formation(s)
-    report = classify(f, mode=mode)
+    f, mode = _target_formation(s, args.tol_rank)
+    report = classify(f, tol_rel=args.tol_rank, mode=mode)
     prop1 = sufficient_persistence_2d(f) if f.d == 2 else None
     _print_report(s.name, report, prop1, args.digits)
     out_dir = Path(args.out)
@@ -149,7 +149,7 @@ def cmd_simulate(args) -> int:
     s = resolve_scenario(args.scenario)
     _check_connectivity(s)
     c = s.constraint_set()
-    target, _ = _target_formation(s)
+    target, _ = _target_formation(s, args.tol_rank)
     cfg = SimulationConfig(dt=args.dt, t_max=args.t_max, integrator=args.integrator)
     p0, seed_used = s.initial_positions(args.seed)
 
@@ -209,9 +209,9 @@ def _write_matrix_txt(path: Path, M: np.ndarray) -> None:
 def cmd_export_matrices(args) -> int:
     s = resolve_scenario(args.scenario)
     _check_connectivity(s)
-    f, mode = _target_formation(s)
+    f, mode = _target_formation(s, args.tol_rank)
     c = s.constraint_set()
-    report = classify(f, mode=mode)
+    report = classify(f, tol_rel=args.tol_rank, mode=mode)
     matrices = {
         "H": incidence_matrix(f.graph),
         "RB": f.bearing_rigidity_matrix,
@@ -279,6 +279,25 @@ def cmd_list_fixtures(args) -> int:
     return 0
 
 
+def _parse_tol_rank(text: str) -> float:
+    try:
+        return check_rank_tolerance(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return parse
+
+
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on usage errors by default, which this
     # tool reserves for numerical inconsistencies; remap to 1.
@@ -297,13 +316,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--tol-rank", type=float, default=None,
-                       help="relative rank tolerance (default 1e-10)")
+        p.add_argument("--tol-rank", type=_parse_tol_rank, default=DEFAULT_RANK_TOL,
+                       help=f"relative rank tolerance in (0, 1) (default {DEFAULT_RANK_TOL:g})")
         p.add_argument("--out", default="out", help="output directory (default: ./out)")
 
     p_analyze = sub.add_parser("analyze", help="classify a scenario's target formation")
     p_analyze.add_argument("scenario", help="bundled fixture name or scenario file path")
-    p_analyze.add_argument("--digits", type=int, default=6,
+    p_analyze.add_argument("--digits", type=_int_at_least(0), default=6,
                            help="precision for printed bases (default 6)")
     common(p_analyze)
     p_analyze.set_defaults(func=cmd_analyze)
@@ -333,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_conj.add_argument("--seed", type=int, default=42)
     p_conj.add_argument("--box", type=float, nargs=2, default=(-2.0, 2.0),
                         metavar=("LOW", "HIGH"))
-    p_conj.add_argument("--jobs", type=int, default=1,
+    p_conj.add_argument("--jobs", type=_int_at_least(1), default=1,
                         help="worker processes (results identical for any value)")
     common(p_conj)
     p_conj.set_defaults(func=cmd_conjecture)
@@ -353,12 +372,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "tol_rank", None) is not None:
-        try:
-            set_rank_tolerance(args.tol_rank)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
     try:
         return args.func(args)
     except NumericalInconsistencyError as exc:

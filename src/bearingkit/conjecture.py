@@ -25,7 +25,7 @@ from .analysis import classify, laplacian_spectrum, outgoing_pair_separation
 from .errors import ConfigError
 from .formation import BearingConstraintSet, Formation
 from .graph import DirectedGraph, is_weakly_connected
-from .linalg import check_rank_tolerance, rank_tolerance
+from .linalg import DEFAULT_RANK_TOL, check_rank_tolerance
 from .scenario import Scenario, scenario_to_dict
 
 GRAPH_MODELS = ("erdos-renyi-directed", "erdos-renyi-undirected", "random-out-degree-capped")
@@ -50,11 +50,9 @@ class ConjectureBatchConfig:
     graph_model: str = "erdos-renyi-directed"
     seed: int = 42
     box: tuple[float, float] = (-2.0, 2.0)
-    #: Relative rank tolerance of every trial's classification.  None takes
-    #: the process's current tolerance when the config is made; the value is
-    #: then carried to worker processes with the config, which they would
-    #: otherwise not see.
-    tol_rel: float | None = None
+    #: Relative rank tolerance of every trial's classification; it travels
+    #: to worker processes with the config.
+    tol_rel: float = DEFAULT_RANK_TOL
 
     def __post_init__(self):
         if self.trials < 1:
@@ -70,8 +68,7 @@ class ConjectureBatchConfig:
         if not (self.box[0] < self.box[1]):
             raise ConfigError(f"invalid position box {self.box}")
         try:
-            self.tol_rel = check_rank_tolerance(
-                rank_tolerance() if self.tol_rel is None else self.tol_rel)
+            self.tol_rel = check_rank_tolerance(self.tol_rel)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
 

@@ -15,10 +15,6 @@ class DimensionMismatchError(BearingKitError):
     """Operands live in different ambient dimensions."""
 
 
-class InvalidVertexError(BearingKitError):
-    """A vertex id outside the graph's range was referenced."""
-
-
 class DegenerateEdgeError(BearingKitError):
     """An edge's endpoints (numerically) coincide, so its bearing is undefined."""
 

@@ -142,7 +142,11 @@ class Formation:
         """Orthonormal basis of the translations-plus-scaling span, (dn, d+1).
 
         Spanned by the d columns of ones-kron-identity together with p
-        itself; these directions never change any bearing.
+        itself; these directions never change any bearing.  The span has
+        dimension d + 1 on every nondegenerate formation, so it is cut at
+        the default rank tolerance, never at a caller's `tol_rel`: a coarse
+        cut would drop p for a formation far from the origin and make the
+        verdicts depend on translation.
         """
         translations = np.kron(np.ones(self.graph.n), np.eye(self.d)).T
         return span_basis(np.column_stack([translations, self.p]))

@@ -8,8 +8,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidVertexError
-
 
 @dataclass(frozen=True)
 class DirectedGraph:
@@ -101,11 +99,3 @@ def is_weakly_connected(g: DirectedGraph) -> bool:
                 seen.add(w)
                 queue.append(w)
     return len(seen) == g.n
-
-
-def out_neighbors(g: DirectedGraph, i: int) -> list[int]:
-    """Heads of the edges leaving vertex i, in edge-list order."""
-    if not (1 <= i <= g.n):
-        raise InvalidVertexError(f"vertex {i} outside 1..{g.n}")
-    return [j for (a, j) in g.edges if a == i]
-

@@ -25,9 +25,9 @@ from .errors import (
     ZeroVectorError,
 )
 
-#: Default rank cutoff, relative to the largest singular value.  Persistence
-#: classification is exactly a rank comparison, so this is the single knob
-#: that decides every rigidity/persistence verdict.
+#: Default rank cutoff, relative to the largest singular value: the default
+#: of every `tol_rel` in the toolkit.  Rigidity and persistence are rank
+#: decisions, so the tolerance passed down decides every verdict.
 DEFAULT_RANK_TOL = 1e-10
 
 #: Vectors shorter than this cannot define a projection direction.
@@ -40,8 +40,6 @@ SUBSPACE_TOL = 1e-8
 #: beyond this the zero eigenvalue is treated as defective.
 DEFECTIVE_COND_LIMIT = 1e8
 
-_rank_tol = DEFAULT_RANK_TOL
-
 
 def check_rank_tolerance(tol: float) -> float:
     """`tol` as a float, or ValueError unless it lies in (0, 1)."""
@@ -49,17 +47,6 @@ def check_rank_tolerance(tol: float) -> float:
     if not (0.0 < tol < 1.0):
         raise ValueError(f"rank tolerance must be in (0, 1), got {tol}")
     return tol
-
-
-def set_rank_tolerance(tol: float) -> None:
-    """Set the global relative rank tolerance (audit knob for rank decisions)."""
-    global _rank_tol
-    _rank_tol = check_rank_tolerance(tol)
-
-
-def rank_tolerance() -> float:
-    """Current global relative rank tolerance."""
-    return _rank_tol
 
 
 def as_matrix(M: np.ndarray) -> np.ndarray:
@@ -123,17 +110,16 @@ def _right_svd(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return s, vh
 
 
-def numeric_rank(M: np.ndarray, tol_rel: float | None = None) -> int:
+def numeric_rank(M: np.ndarray, tol_rel: float = DEFAULT_RANK_TOL) -> int:
     """Number of singular values above tol_rel times the largest one."""
     M = as_matrix(M)
-    tol_rel = _rank_tol if tol_rel is None else float(tol_rel)
     if min(M.shape) == 0:
         return 0
     s, _ = _right_svd(M)
     return _svd_rank(s, tol_rel)
 
 
-def nullspace_basis(M: np.ndarray, tol_rel: float | None = None) -> np.ndarray:
+def nullspace_basis(M: np.ndarray, tol_rel: float = DEFAULT_RANK_TOL) -> np.ndarray:
     """Orthonormal basis of the right null space, columns as basis vectors.
 
     Shape is (cols, nullity).  Rank and basis come from the same
@@ -144,7 +130,6 @@ def nullspace_basis(M: np.ndarray, tol_rel: float | None = None) -> np.ndarray:
     d*m^2).
     """
     M = as_matrix(M)
-    tol_rel = _rank_tol if tol_rel is None else float(tol_rel)
     n = M.shape[1]
     if M.shape[0] == 0 or n == 0:
         return np.eye(n)
@@ -153,10 +138,9 @@ def nullspace_basis(M: np.ndarray, tol_rel: float | None = None) -> np.ndarray:
     return vh[rank:].T.copy()
 
 
-def span_basis(vectors: np.ndarray, tol_rel: float | None = None) -> np.ndarray:
+def span_basis(vectors: np.ndarray, tol_rel: float = DEFAULT_RANK_TOL) -> np.ndarray:
     """Orthonormal basis of the column span of `vectors` (possibly dependent)."""
     V = as_matrix(vectors)
-    tol_rel = _rank_tol if tol_rel is None else float(tol_rel)
     if V.shape[1] == 0:
         return V.copy()
     u, s, _ = np.linalg.svd(V, full_matrices=False)
@@ -193,7 +177,7 @@ def subspaces_equal(A: np.ndarray, B: np.ndarray, tol: float = SUBSPACE_TOL) -> 
 
 
 def spectral_projector_zero(
-    M: np.ndarray, tol_rel: float | None = None
+    M: np.ndarray, tol_rel: float = DEFAULT_RANK_TOL
 ) -> tuple[np.ndarray, int]:
     """Projector onto the zero eigenspace of a square matrix M.
 

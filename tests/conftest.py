@@ -1,15 +1,7 @@
 import numpy as np
 import pytest
 
-import bearingkit.linalg
 from bearingkit import Formation, load_fixture
-
-
-@pytest.fixture(autouse=True)
-def _restore_rank_tolerance():
-    before = bearingkit.linalg.rank_tolerance()
-    yield
-    bearingkit.linalg.set_rank_tolerance(before)
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bearingkit import (
     BearingConstraintSet,
@@ -12,6 +14,7 @@ from bearingkit import (
     is_bearing_persistent,
     is_infinitesimally_bearing_rigid,
     laplacian_spectrum,
+    list_fixtures,
     nullspace_basis,
     predict_limit,
     realize_constraints,
@@ -293,6 +296,44 @@ class TestClassify:
         for name in ("fig1a", "fig1b"):
             report = classify(formations[name])
             assert report.is_rigid and report.is_persistent
+
+
+_shift = st.floats(-100.0, 100.0, allow_nan=False, allow_infinity=False)
+
+
+def _verdicts(report):
+    return (report.rank_rigidity, report.rank_laplacian, report.trivial_space_dim,
+            report.is_rigid, report.is_persistent)
+
+
+class TestVerdictInvariance:
+    """R and L change only by orthogonal factors and a uniform scale under
+    a similarity, a relabelling of the agents or a reordering of the edges,
+    so no verdict may change, at the default or at a coarse tolerance."""
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=150)
+    @given(
+        name=st.sampled_from(list_fixtures()),
+        shift=st.tuples(_shift, _shift),
+        scale=st.floats(0.01, 100.0),
+        angle=st.floats(-np.pi, np.pi),
+        data=st.data(),
+    )
+    def test_similarity_relabelling_and_edge_order(
+        self, formations, name, shift, scale, angle, data
+    ):
+        f = formations[name]
+        relabel = data.draw(st.permutations(range(f.n)), label="relabel")
+        order = data.draw(st.permutations(range(f.m)), label="edge order")
+        rotation = np.array([[np.cos(angle), -np.sin(angle)],
+                             [np.sin(angle), np.cos(angle)]])
+        points = np.empty_like(f.points)
+        points[relabel] = scale * f.points @ rotation.T + np.array(shift)
+        edges = tuple((relabel[i - 1] + 1, relabel[j - 1] + 1)
+                      for i, j in (f.graph.edges[k] for k in order))
+        moved = Formation.from_points(DirectedGraph(f.n, edges), points)
+        for tol_rel in (1e-10, 1e-3):
+            assert _verdicts(classify(moved, tol_rel)) == _verdicts(classify(f, tol_rel))
 
 
 class TestRealizeConstraints:

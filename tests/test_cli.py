@@ -307,5 +307,67 @@ class TestMisc:
         assert code == 0
 
     def test_bad_tol_rank(self, capsys):
-        code, _, err = run(capsys, "analyze", "fig2a", "--tol-rank", "5")
-        assert code == 1
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "fig2a", "--tol-rank", "5"])
+        assert exc.value.code == 1
+        assert "(0, 1)" in capsys.readouterr().err
+
+    def test_negative_digits_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "fig1a", "--digits", "-1"])
+        assert exc.value.code == 1
+        assert "--digits" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_nonpositive_jobs_usage_error(self, capsys, jobs):
+        with pytest.raises(SystemExit) as exc:
+            main(["conjecture", "--trials", "1", "--jobs", jobs])
+        assert exc.value.code == 1
+        assert "--jobs" in capsys.readouterr().err
+
+
+class TestRankTolerance:
+    """`--tol-rank` decides only the call it is given to."""
+
+    def test_analyze_tolerance_does_not_leak(self, capsys, tmp_path):
+        code, _, err = run(capsys, "analyze", "fig2a", "--tol-rank", "0.5",
+                           "--out", str(tmp_path))
+        assert code == 2
+        assert "numerical inconsistency" in err
+        code, _, _ = run(capsys, "analyze", "fig2a", "--out", str(tmp_path))
+        assert code == 0
+        data = json.loads((tmp_path / "fig2a_analysis.json").read_text())
+        assert data["is_rigid"] and data["is_persistent"]
+
+    def test_conjecture_tolerance_does_not_leak(self, capsys, tmp_path):
+        first, second = tmp_path / "first", tmp_path / "second"
+        code, _, _ = run(capsys, "conjecture", "--trials", "5", "--tol-rank", "1e-3",
+                         "--out", str(first))
+        assert code == 0
+        code, _, _ = run(capsys, "conjecture", "--trials", "5", "--out", str(second))
+        assert code == 0
+        config = json.loads((second / "conjecture_report.json").read_text())["config"]
+        assert config["tol_rel"] == 1e-10
+
+    def test_shifted_fig2a_keeps_verdicts_at_coarse_tolerance(self, capsys, tmp_path):
+        # Shifted by (100, 100), the scaling direction of [translations, p]
+        # has a singular value 7e-5 times the largest, below a 1e-3 cut; the
+        # trivial-motion span must still keep all d + 1 directions.
+        s = load_fixture("fig2a")
+        scenario = {
+            "version": 1,
+            "name": "fig2a-shifted",
+            "dimension": 2,
+            "nodes": [{"id": i + 1, "position": [x + 100.0, y + 100.0]}
+                      for i, (x, y) in enumerate(s.positions)],
+            "edges": [list(e) for e in s.edges],
+            "target": {"from_positions": True},
+        }
+        path = tmp_path / "shifted.json"
+        path.write_text(json.dumps(scenario))
+        code, _, _ = run(capsys, "analyze", str(path), "--tol-rank", "1e-3",
+                         "--out", str(tmp_path))
+        assert code == 0
+        data = json.loads((tmp_path / "fig2a-shifted_analysis.json").read_text())
+        assert data["is_rigid"] and data["is_persistent"]
+        assert data["trivial_space_dim"] == 3

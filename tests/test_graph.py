@@ -3,12 +3,10 @@ import pytest
 
 from bearingkit import (
     DirectedGraph,
-    InvalidVertexError,
     expanded_incidence,
     incidence_matrix,
     is_weakly_connected,
     numeric_rank,
-    out_neighbors,
 )
 
 FIG2A_EDGES = ((1, 4), (1, 2), (2, 3), (3, 4), (2, 4))
@@ -127,22 +125,3 @@ class TestConnectivity:
         # all edges point at vertex 1; still weakly connected
         assert is_weakly_connected(DirectedGraph(4, ((2, 1), (3, 1), (4, 1))))
 
-
-class TestOutNeighbors:
-    def test_fig3a_agent_two(self):
-        g = DirectedGraph(4, FIG3A_EDGES)
-        assert out_neighbors(g, 2) == [1, 3, 4]
-
-    def test_sink_agent(self):
-        g = DirectedGraph(4, FIG2A_EDGES)
-        assert out_neighbors(g, 4) == []
-
-    def test_single_edge(self):
-        assert out_neighbors(DirectedGraph(2, ((1, 2),)), 1) == [2]
-
-    def test_invalid_vertex(self):
-        g = DirectedGraph(2, ((1, 2),))
-        with pytest.raises(InvalidVertexError):
-            out_neighbors(g, 0)
-        with pytest.raises(InvalidVertexError):
-            out_neighbors(g, 3)

@@ -10,7 +10,6 @@ from bearingkit import (
     numeric_rank,
     nullspace_basis,
     projector,
-    set_rank_tolerance,
     span_basis,
     spectral_projector_zero,
     subspace_contains,
@@ -95,8 +94,6 @@ class TestNumericRank:
         M = np.diag([1.0, 1e-6])
         assert numeric_rank(M) == 2
         assert numeric_rank(M, tol_rel=1e-3) == 1
-        set_rank_tolerance(1e-3)
-        assert numeric_rank(M) == 1
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
